@@ -164,27 +164,16 @@ type scratch struct {
 	bid        []int32
 	sx, sy, sz []float64
 	// pairDist/pairMask buffer one holder's per-sharer distances and
-	// audibility mask for kernel.Bearing.MaskedSum (serial path; parallel
-	// workers carry their own in workerScratch).
+	// audibility mask for kernel.Bearing.MaskedSum.
 	pairDist []float64
 	pairMask []bool
 
-	// Overheard-total memo: within one propagation phase the total audible
-	// at a node is a pure function of (node, broadcasts, loss epoch), but
-	// the seed recomputed it per (broadcast, recorder) pair — O(B²·R)
-	// hypot+loss work. otComp remembers whether the stored total was
-	// loss-compensated, so every memo hit replays the Compensated counter
-	// increment the scalar path would have performed.
+	// Overheard-total memo (Tracker.overheardTotalMemo): the total, and
+	// whether it was loss-compensated, per node per propagation phase.
 	otStamp []uint32
 	otEpoch uint32
 	otVal   []float64
 	otComp  []bool
-
-	// maxRecordDist parks the propagation phase's recording distance where
-	// parallel workers can read it (set before dispatch, constant during).
-	maxRecordDist float64
-	// pw is the per-worker scratch set, created with the step pool.
-	pw []workerScratch
 
 	// Quarantine-scoring buffers (scoreSharers).
 	ms    []statex.Measurement

@@ -23,7 +23,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"runtime"
 
 	"repro/internal/statex"
 	"repro/internal/wsn"
@@ -90,18 +89,6 @@ type Config struct {
 	// growing without bound while the filter coasts with no measurements
 	// (e.g. after the target leaves the field). 0 defaults to 256.
 	MaxHolders int
-
-	// Parallelism sets the worker count for the intra-step parallel phases
-	// (the per-holder likelihood loop and the per-broadcast recorder
-	// resolution; DESIGN.md §16). Work is split into static contiguous
-	// chunks and merged in item order, so results are bit-identical for
-	// every worker count — 1 runs the serial path, which is itself
-	// bit-identical to the pre-kernel implementation. 0 (the default)
-	// resolves to GOMAXPROCS capped at 8; negative is invalid. Workers are
-	// started lazily on the first step with enough independent items, so
-	// small trackers (e.g. per-session trackers in internal/serve) never
-	// pay for a pool.
-	Parallelism int
 
 	// Graceful degradation under faults (DESIGN.md, "Fault model &
 	// degradation behavior"). All three knobs leave the fault-free paper
@@ -236,18 +223,6 @@ func (c Config) withDefaults(nw *wsn.Network) (Config, error) {
 	}
 	if c.MaxHolders < 1 {
 		return c, fmt.Errorf("core: MaxHolders %d must be positive", c.MaxHolders)
-	}
-	if c.Parallelism < 0 {
-		return c, fmt.Errorf("core: Parallelism %d negative (0 selects GOMAXPROCS)", c.Parallelism)
-	}
-	if c.Parallelism == 0 {
-		c.Parallelism = runtime.GOMAXPROCS(0)
-		if c.Parallelism > 8 {
-			c.Parallelism = 8
-		}
-	}
-	if c.Parallelism > 64 {
-		return c, fmt.Errorf("core: Parallelism %d above 64", c.Parallelism)
 	}
 	if c.Rebroadcasts < 0 || c.Rebroadcasts > 8 {
 		return c, fmt.Errorf("core: Rebroadcasts %d outside [0, 8]", c.Rebroadcasts)

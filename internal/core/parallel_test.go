@@ -2,9 +2,12 @@ package core
 
 import (
 	"math"
+	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/mathx"
+	"repro/internal/sensorfault"
 	"repro/internal/statex"
 	"repro/internal/wsn"
 )
@@ -12,22 +15,23 @@ import (
 // runTrace is one full tracking run's complete observable output, with every
 // float captured as raw bits so comparison is bit-exact, not tolerance-based.
 type runTrace struct {
-	estBits  []uint64 // X/Y bits per iteration with a valid estimate
-	holders  []int
-	created  []int
-	dropped  []int
-	weights  []uint64 // final holder weights, ascending ID
-	resil    ResilienceStats
-	gated    int
-	msgs     int64
-	bytes    int64
-	poolUsed bool
+	estBits []uint64 // X/Y bits per iteration with a valid estimate
+	holders []int
+	created []int
+	dropped []int
+	weights []uint64 // final holder weights, ascending ID
+	resil   ResilienceStats
+	quar    QuarantineStats
+	msgs    int64
+	bytes   int64
 }
 
 // traceRun drives one tracker over a deterministic moving-target scenario and
 // captures everything the algorithm computes. Every call with the same
-// (netSeed, cfg-up-to-Parallelism, loss setup) must produce identical traces.
-func traceRun(t *testing.T, cfg Config, parallelism int, loss func(*wsn.Network)) runTrace {
+// (cfg, loss setup, fault script) must produce identical traces. A non-nil
+// fault script corrupts each detecting node's bearing before the tracker
+// sees it, exactly as the simulator's sensing path does.
+func traceRun(t *testing.T, cfg Config, loss func(*wsn.Network), faults *sensorfault.Script) runTrace {
 	t.Helper()
 	nw, err := wsn.NewNetwork(wsn.DefaultConfig(20), mathx.NewRNG(97))
 	if err != nil {
@@ -36,7 +40,6 @@ func traceRun(t *testing.T, cfg Config, parallelism int, loss func(*wsn.Network)
 	if loss != nil {
 		loss(nw)
 	}
-	cfg.Parallelism = parallelism
 	tr, err := NewTracker(nw, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -45,7 +48,16 @@ func traceRun(t *testing.T, cfg Config, parallelism int, loss func(*wsn.Network)
 	target := mathx.V2(30, 60)
 	var trace runTrace
 	for k := 0; k < 12; k++ {
-		res := stepWithTarget(t, tr, nw, target, rng)
+		det := nw.ActiveNodesWithin(target, nw.Cfg.SensingRadius)
+		obs := make([]Observation, len(det))
+		for i, id := range det {
+			z := tr.cfg.Sensor.Measure(nw.Node(id).Pos, target, rng)
+			if faults != nil {
+				z, _ = faults.Corrupt(id, float64(k)*tr.cfg.Dt, z)
+			}
+			obs[i] = Observation{Node: id, Bearing: z}
+		}
+		res := tr.Step(obs, rng)
 		if res.EstimateValid {
 			trace.estBits = append(trace.estBits,
 				math.Float64bits(res.Estimate.X), math.Float64bits(res.Estimate.Y))
@@ -59,16 +71,15 @@ func traceRun(t *testing.T, cfg Config, parallelism int, loss func(*wsn.Network)
 		trace.weights = append(trace.weights, math.Float64bits(tr.Weight(id)))
 	}
 	trace.resil = tr.Resilience()
-	trace.gated = tr.gated
+	trace.quar = tr.Quarantine()
 	trace.msgs = nw.Stats.TotalMsgs()
 	trace.bytes = nw.Stats.TotalBytes()
-	trace.poolUsed = tr.pool != nil
 	return trace
 }
 
 func sameTrace(a, b runTrace) bool {
 	if len(a.estBits) != len(b.estBits) || len(a.weights) != len(b.weights) ||
-		a.gated != b.gated || a.msgs != b.msgs || a.bytes != b.bytes {
+		a.msgs != b.msgs || a.bytes != b.bytes {
 		return false
 	}
 	for i := range a.estBits {
@@ -86,27 +97,54 @@ func sameTrace(a, b runTrace) bool {
 			return false
 		}
 	}
+	aq, bq := a.quar, b.quar
+	if aq.Gated != bq.Gated || aq.Evictions != bq.Evictions || aq.Readmissions != bq.Readmissions ||
+		!slices.Equal(aq.Quarantined, bq.Quarantined) || !slices.Equal(aq.Ever, bq.Ever) {
+		return false
+	}
 	ar, br := a.resil, b.resil
 	return ar.Rebroadcasts == br.Rebroadcasts && ar.RebroadcastSaves == br.RebroadcastSaves &&
 		ar.Compensated == br.Compensated && ar.LossEpisodes == br.LossEpisodes &&
 		ar.LockedIters == br.LockedIters && ar.LostIters == br.LostIters
 }
 
-// TestParallelStepByteIdentity is the determinism contract of the intra-step
-// parallel path (DESIGN.md §16): for every configuration — loss-free
-// Gaussian, iid loss with rebroadcast and compensation, Student-t with
-// quantization and gating, and CDPF-NE — worker counts 2, 4, and 8 must
-// reproduce the single-worker run bit for bit: identical estimate bits,
-// weight bits, population dynamics, resilience counters, gate counts, and
-// radio traffic.
+// traceAtProcs runs traceRun with GOMAXPROCS set to procs, restoring the
+// previous value afterwards (go test -cpu sets it per run).
+func traceAtProcs(t *testing.T, procs int, cfg Config, loss func(*wsn.Network), faults *sensorfault.Script) runTrace {
+	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	return traceRun(t, cfg, loss, faults)
+}
+
+// stuckEveryFifth scripts a stuck-at fault on every fifth node for the whole
+// run: a minority of each detecting cohort, which the quarantine evicts.
+func stuckEveryFifth() *sensorfault.Script {
+	var nodes []wsn.NodeID
+	for id := wsn.NodeID(0); id < 8000; id += 5 {
+		nodes = append(nodes, id)
+	}
+	s := sensorfault.NewScript(13)
+	s.StuckAt(0, math.Inf(1), nodes)
+	return s
+}
+
+// TestParallelStepByteIdentity is the host-independence contract of
+// Tracker.Step: a run must produce the same bytes whatever the host's core
+// count. For every configuration — loss-free Gaussian, iid loss with
+// rebroadcast and compensation, bursty loss, Student-t with quantization and
+// gating, sensor faults under the hardened defenses (quarantine evicting
+// sharers), and CDPF-NE — the run at GOMAXPROCS 4 must reproduce the run at
+// GOMAXPROCS 1 bit for bit: identical estimate bits, weight bits, population
+// dynamics, resilience and quarantine counters, and radio traffic.
 func TestParallelStepByteIdentity(t *testing.T) {
 	type variant struct {
-		name string
-		cfg  func() Config
-		loss func(*wsn.Network)
+		name   string
+		cfg    Config
+		loss   func(*wsn.Network)
+		faults *sensorfault.Script
 	}
 	variants := []variant{
-		{name: "gaussian-lossfree", cfg: func() Config { return DefaultConfig(false) }},
+		{name: "gaussian-lossfree", cfg: DefaultConfig(false)},
 		{
 			name: "iid-loss-rebroadcast-compensate",
 			cfg: func() Config {
@@ -115,8 +153,13 @@ func TestParallelStepByteIdentity(t *testing.T) {
 				c.RebroadcastBackoff = 1.3
 				c.CompensateLoss = true
 				return c
-			},
+			}(),
 			loss: func(nw *wsn.Network) { nw.SetLossRate(0.25, 7) },
+		},
+		{
+			name: "burst-loss",
+			cfg:  DefaultConfig(false),
+			loss: func(nw *wsn.Network) { nw.SetBurstLoss(0.2, 3, 11) },
 		},
 		{
 			name: "student-t-quant-gate",
@@ -126,44 +169,24 @@ func TestParallelStepByteIdentity(t *testing.T) {
 				c.QuantSigma = 2.0
 				c.GateSigma = 2.5
 				return c
-			},
+			}(),
 		},
-		{name: "ne", cfg: func() Config { return DefaultConfig(true) }},
+		{
+			name:   "sensorfault-quarantine",
+			cfg:    HardenedSensingConfig(false),
+			faults: stuckEveryFifth(),
+		},
+		{name: "ne", cfg: DefaultConfig(true)},
 	}
 	for _, v := range variants {
 		t.Run(v.name, func(t *testing.T) {
-			serial := traceRun(t, v.cfg(), 1, v.loss)
-			if serial.poolUsed {
-				t.Fatal("single-worker run started the pool")
+			ref := traceAtProcs(t, 1, v.cfg, v.loss, v.faults)
+			if v.cfg.Quarantine && ref.quar.Evictions == 0 {
+				t.Fatal("no sharer was quarantined: the filtered-sharer path never ran")
 			}
-			engaged := false
-			for _, workers := range []int{2, 4, 8} {
-				got := traceRun(t, v.cfg(), workers, v.loss)
-				if !sameTrace(serial, got) {
-					t.Fatalf("workers=%d: trace differs from serial run", workers)
-				}
-				engaged = engaged || got.poolUsed
-			}
-			if !engaged {
-				t.Fatal("parallel path never engaged: scenario too small to exercise the pool")
+			if got := traceAtProcs(t, 4, v.cfg, v.loss, v.faults); !sameTrace(ref, got) {
+				t.Fatal("trace at GOMAXPROCS 4 differs from GOMAXPROCS 1")
 			}
 		})
-	}
-}
-
-// TestParallelBurstLossStaysSerial pins the safety gate: under bursty loss
-// the per-link chain memo mutates on query, so the parallel phases must not
-// engage no matter the configured worker count — and results must still match
-// the single-worker run exactly.
-func TestParallelBurstLossStaysSerial(t *testing.T) {
-	burst := func(nw *wsn.Network) { nw.SetBurstLoss(0.2, 3, 11) }
-	cfg := DefaultConfig(false)
-	serial := traceRun(t, cfg, 1, burst)
-	got := traceRun(t, cfg, 8, burst)
-	if got.poolUsed {
-		t.Fatal("parallel path engaged under bursty loss")
-	}
-	if !sameTrace(serial, got) {
-		t.Fatal("workers=8 burst-loss trace differs from serial run")
 	}
 }

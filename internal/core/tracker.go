@@ -70,10 +70,8 @@ type Tracker struct {
 	gated int
 
 	// bk is the batch bearing-likelihood evaluator (internal/kernel) with the
-	// model's normalization constants hoisted; pool is the lazily-started
-	// intra-step worker pool (pool.go), nil until the first parallel phase.
-	bk   kernel.Bearing
-	pool *stepPool
+	// model's normalization constants hoisted.
+	bk kernel.Bearing
 }
 
 // ResilienceStats counts the tracker's degradation events across a run:
@@ -325,17 +323,9 @@ func (t *Tracker) propagate(res *StepResult) {
 
 	t.scr.accEpoch++
 	t.scr.touched = t.scr.touched[:0]
-	t.scr.maxRecordDist = maxRecordDist
 	t.gatherBcastColumns(bcasts)
 	t.scr.otEpoch++
-	if t.parallelOK(len(bcasts)) {
-		// Parallel recorder resolution: workers log per-broadcast outcomes,
-		// the serial merge replays them in broadcast order (pool.go).
-		t.ensurePool().run(t, phaseRec, len(bcasts))
-		t.mergeRecorders(res)
-	} else {
-		t.recordSerial(bcasts, maxRecordDist, res)
-	}
+	t.record(bcasts, maxRecordDist, res)
 
 	// Install the recorded particles (combining happens implicitly: one
 	// accumulator per node). Install order is ascending ID.
@@ -376,14 +366,14 @@ func (t *Tracker) propagate(res *StepResult) {
 	}
 }
 
-// recordSerial is the serial recorder-resolution loop of the propagation
-// phase: for every broadcast, select its recorders (with bounded rebroadcast
-// retries), split the weight by division ratio over each recorder's
-// (memoized) overheard total, and accumulate the shares in broadcast order.
-func (t *Tracker) recordSerial(bcasts []bcast, maxRecordDist float64, res *StepResult) {
+// record is the recorder-resolution loop of the propagation phase: for every
+// broadcast, select its recorders (with bounded rebroadcast retries), split
+// the weight by division ratio over each recorder's (memoized) overheard
+// total, and accumulate the shares in broadcast order.
+func (t *Tracker) record(bcasts []bcast, maxRecordDist float64, res *StepResult) {
 	sizes := t.cfg.Sizes
 	for _, b := range bcasts {
-		recorders := t.selectRecordersInto(&t.scr.cand, b, maxRecordDist, 0)
+		recorders := t.selectRecorders(b, maxRecordDist, 0)
 		// Bounded re-broadcast with backoff: a holder whose propagation drew
 		// no recorder (nobody awake/reachable in the predicted area) retries
 		// up to Rebroadcasts times, each retry charged like the original
@@ -394,7 +384,7 @@ func (t *Tracker) recordSerial(bcasts []bcast, maxRecordDist float64, res *StepR
 			t.nw.Transmit(b.id, wsn.MsgParticle, sizes.Dp+sizes.Dw)
 			t.resil.Rebroadcasts++
 			dist := maxRecordDist * math.Pow(t.cfg.RebroadcastBackoff, float64(attempt))
-			recorders = t.selectRecordersInto(&t.scr.cand, b, dist, attempt)
+			recorders = t.selectRecorders(b, dist, attempt)
 			if len(recorders) > 0 {
 				t.resil.RebroadcastSaves++
 			}
@@ -437,16 +427,15 @@ func (t *Tracker) recordSerial(bcasts []bcast, maxRecordDist float64, res *StepR
 	}
 }
 
-// selectRecordersInto returns the awake nodes within maxDist of the
-// broadcast's predicted-area center that physically received the attempt-th
-// transmission of the broadcast: within the communication radius of the
-// sender (or the sender itself). The returned slice aliases *buf (grown in
-// place) and is invalidated by the next call with the same buffer; parallel
-// workers pass their own buffers.
-func (t *Tracker) selectRecordersInto(buf *[]wsn.NodeID, b bcast, maxDist float64, attempt int) []wsn.NodeID {
+// selectRecorders returns the awake nodes within maxDist of the broadcast's
+// predicted-area center that physically received the attempt-th transmission
+// of the broadcast: within the communication radius of the sender (or the
+// sender itself). The returned slice aliases the scratch query buffer and is
+// invalidated by the next call.
+func (t *Tracker) selectRecorders(b bcast, maxDist float64, attempt int) []wsn.NodeID {
 	commR := t.nw.Cfg.CommRadius
-	*buf = t.nw.AppendActiveNodesWithin((*buf)[:0], b.area.Center, maxDist)
-	cand := *buf
+	t.scr.cand = t.nw.AppendActiveNodesWithin(t.scr.cand[:0], b.area.Center, maxDist)
+	cand := t.scr.cand
 	recorders := cand[:0]
 	for _, id := range cand {
 		if id == b.id || (t.nw.Node(id).Pos.Dist(b.pos) <= commR && t.nw.DeliversAttempt(b.id, id, attempt)) {
@@ -457,7 +446,7 @@ func (t *Tracker) selectRecordersInto(buf *[]wsn.NodeID, b bcast, maxDist float6
 }
 
 // gatherBcastColumns mirrors this iteration's finalized broadcasts into the
-// flat scratch columns the batch kernels and parallel workers read.
+// flat scratch columns the batch kernels read.
 func (t *Tracker) gatherBcastColumns(bcasts []bcast) {
 	scr := &t.scr
 	scr.bx, scr.by = scr.bx[:0], scr.by[:0]
@@ -508,58 +497,32 @@ func (t *Tracker) overheardTotal(id wsn.NodeID, bcasts []bcast) float64 {
 	return total
 }
 
-// overheardTotalCompute is overheardTotal without the Compensated counter
-// side effect: it returns the total plus whether compensation fired, so memo
-// layers can replay the counter per lookup. Within one propagation phase the
-// total is a pure function of (id, bcasts, loss epoch); when no loss process
-// is configured it delegates to the loss-free batch kernel over the gathered
-// broadcast columns (identical Hypot operands, identical summation order).
-func (t *Tracker) overheardTotalCompute(id wsn.NodeID, bcasts []bcast) (float64, bool) {
-	pos := t.nw.Node(id).Pos
-	commR := t.nw.Cfg.CommRadius
-	if t.nw.LossFree() {
-		scr := &t.scr
-		return kernel.OverheardSum(scr.bx, scr.by, scr.bw, scr.bid, int32(id), pos.X, pos.Y, commR), false
-	}
-	total := 0.0
-	heard, inRange := 0, 0
-	for i := range bcasts {
-		if bcasts[i].id == id {
-			total += bcasts[i].w
-			heard++
-			inRange++
-			continue
-		}
-		if bcasts[i].pos.Dist(pos) > commR {
-			continue
-		}
-		inRange++
-		if t.nw.Delivers(bcasts[i].id, id) {
-			total += bcasts[i].w
-			heard++
-		}
-	}
-	comp := t.cfg.CompensateLoss && heard > 0 && inRange > heard
-	if comp {
-		total *= float64(inRange) / float64(heard)
-	}
-	return total, comp
-}
-
-// overheardTotalMemo is the serial path's memoized overheardTotal: the seed
-// recomputed the same total for every (broadcast, recorder) pair — O(B²·R)
-// distance and loss work per iteration — while it only depends on the
-// recorder. The memo is invalidated per propagation phase (otEpoch), and a
-// hit replays the Compensated increment the direct call would have made.
+// overheardTotalMemo is the memoized overheardTotal: the seed recomputed the
+// same total for every (broadcast, recorder) pair — O(B²·R) distance and loss
+// work per iteration — while within one propagation phase it is a pure
+// function of (node, broadcasts, loss epoch). The memo is invalidated per
+// propagation phase (otEpoch); otComp remembers whether the stored total was
+// loss-compensated, so every hit replays the Compensated increment the
+// direct call would have made. When no loss process is configured a miss is
+// answered by the loss-free batch kernel over the gathered broadcast columns
+// (identical Hypot operands, identical summation order).
 func (t *Tracker) overheardTotalMemo(id wsn.NodeID, bcasts []bcast) float64 {
 	scr := &t.scr
-	if scr.otStamp[id] != scr.otEpoch {
-		scr.otStamp[id] = scr.otEpoch
-		scr.otVal[id], scr.otComp[id] = t.overheardTotalCompute(id, bcasts)
+	if scr.otStamp[id] == scr.otEpoch {
+		if scr.otComp[id] {
+			t.resil.Compensated++
+		}
+		return scr.otVal[id]
 	}
-	if scr.otComp[id] {
-		t.resil.Compensated++
+	scr.otStamp[id] = scr.otEpoch
+	before := t.resil.Compensated
+	if t.nw.LossFree() {
+		pos := t.nw.Node(id).Pos
+		scr.otVal[id] = kernel.OverheardSum(scr.bx, scr.by, scr.bw, scr.bid, int32(id), pos.X, pos.Y, t.nw.Cfg.CommRadius)
+	} else {
+		scr.otVal[id] = t.overheardTotal(id, bcasts)
 	}
+	scr.otComp[id] = t.resil.Compensated != before
 	return scr.otVal[id]
 }
 
@@ -632,19 +595,20 @@ func (t *Tracker) gatherSharerColumns(sharers []wsn.NodeID) {
 // sharers via the batch kernel. The per-sharer distance doubles as the radio
 // range check and the quantization-sigma input — the scalar path computed the
 // identical math.Hypot twice (Vec2.Dist in the range test, effSigma's from
-// .Dist(cand)), so sharing one evaluation is bit-identical. dist and mask are
-// caller-owned buffers of len(sharers) (parallel workers pass their own).
-func (t *Tracker) holderLL(id wsn.NodeID, sharers []wsn.NodeID, dist []float64, mask []bool) (ll float64, heard bool, gated int) {
+// .Dist(cand)), so sharing one evaluation is bit-identical. The distances
+// and audibility mask go to the scratch pairDist/pairMask buffers, which the
+// caller has grown to len(sharers).
+func (t *Tracker) holderLL(id wsn.NodeID, sharers []wsn.NodeID) (ll float64, heard bool, gated int) {
 	pos := t.nw.Node(id).Pos
 	commR := t.nw.Cfg.CommRadius
 	scr := &t.scr
 	lossFree := t.nw.LossFree()
 	for k, sid := range sharers {
 		d := math.Hypot(scr.sx[k]-pos.X, scr.sy[k]-pos.Y)
-		dist[k] = d
-		mask[k] = sid == id || (d <= commR && (lossFree || t.nw.Delivers(sid, id)))
+		scr.pairDist[k] = d
+		scr.pairMask[k] = sid == id || (d <= commR && (lossFree || t.nw.Delivers(sid, id)))
 	}
-	return t.bk.MaskedSum(scr.sx, scr.sy, scr.sz, dist, mask, pos.X, pos.Y)
+	return t.bk.MaskedSum(scr.sx, scr.sy, scr.sz, scr.pairDist, scr.pairMask, pos.X, pos.Y)
 }
 
 // scoreSharers runs one round of the quarantine reputation update. The
@@ -741,24 +705,13 @@ func (t *Tracker) assignLikelihood(obs []Observation, res *StepResult) {
 	logls := growF(t.scr.logls, len(holders))
 	heardAny := growB(t.scr.heard, len(holders))
 	t.scr.logls, t.scr.heard = logls, heardAny
-	if t.parallelOK(len(holders)) {
-		// Parallel holder update: disjoint writes into logls/heard, gate
-		// counts merged per worker chunk (pool.go).
-		n := len(holders)
-		t.ensurePool().run(t, phaseLik, n)
-		chunk := (n + t.pool.workers - 1) / t.pool.workers
-		for w := 0; w*chunk < n; w++ {
-			t.gated += t.scr.pw[w].gated
-		}
-	} else {
-		t.scr.pairDist = growF(t.scr.pairDist, len(sharers))
-		t.scr.pairMask = growB(t.scr.pairMask, len(sharers))
-		for i, id := range holders {
-			ll, heard, g := t.holderLL(id, sharers, t.scr.pairDist, t.scr.pairMask)
-			logls[i] = ll
-			heardAny[i] = heard
-			t.gated += g
-		}
+	t.scr.pairDist = growF(t.scr.pairDist, len(sharers))
+	t.scr.pairMask = growB(t.scr.pairMask, len(sharers))
+	for i, id := range holders {
+		ll, heard, g := t.holderLL(id, sharers)
+		logls[i] = ll
+		heardAny[i] = heard
+		t.gated += g
 	}
 	// Common rescaling by the maximum log-likelihood. This is a uniform
 	// scale factor (normalization happens next iteration via overhearing),

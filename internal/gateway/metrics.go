@@ -5,7 +5,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"sort"
 	"strconv"
@@ -13,6 +12,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/serve"
 )
 
 // metrics is the gateway's own instrumentation (atomics; Prometheus text on
@@ -31,13 +32,13 @@ type metrics struct {
 	streamAborts     atomic.Int64 // SSE welds aborted after a backend-side cut
 
 	parkMu   sync.Mutex
-	parkHist histogram
+	parkHist serve.Histogram
 }
 
 // observePark records how long a parked request waited before succeeding.
 func (m *metrics) observePark(d time.Duration) {
 	m.parkMu.Lock()
-	m.parkHist.observe(d.Seconds())
+	m.parkHist.Observe(d.Seconds())
 	m.parkMu.Unlock()
 }
 
@@ -45,63 +46,7 @@ func (m *metrics) observePark(d time.Duration) {
 func (m *metrics) parkQuantile(q float64) float64 {
 	m.parkMu.Lock()
 	defer m.parkMu.Unlock()
-	return m.parkHist.quantile(q)
-}
-
-// latencyBuckets mirror the serve tier's histogram bounds (100 µs to ~52 s in
-// powers of two) so fleet dashboards can overlay gateway park latency on
-// backend step latency without bucket gymnastics.
-var latencyBuckets = func() []float64 {
-	b := make([]float64, 20)
-	ub := 100e-6
-	for i := range b {
-		b[i] = ub
-		ub *= 2
-	}
-	return b
-}()
-
-type histogram struct {
-	counts [21]int64 // len(latencyBuckets)+1, last bucket is +Inf
-	sum    float64
-}
-
-func (h *histogram) observe(v float64) {
-	h.sum += v
-	for i, ub := range latencyBuckets {
-		if v <= ub {
-			h.counts[i]++
-			return
-		}
-	}
-	h.counts[len(latencyBuckets)]++
-}
-
-func (h *histogram) quantile(q float64) float64 {
-	var total int64
-	for _, c := range h.counts {
-		total += c
-	}
-	if total == 0 {
-		return math.NaN()
-	}
-	rank := int64(math.Ceil(q * float64(total)))
-	var cum int64
-	for i, c := range h.counts {
-		cum += c
-		if cum >= rank {
-			if i < len(latencyBuckets) {
-				return latencyBuckets[i]
-			}
-			return math.Inf(1)
-		}
-	}
-	return math.Inf(1)
-}
-
-// formatUpperBound renders a bucket bound the way Prometheus clients do.
-func formatUpperBound(ub float64) string {
-	return strconv.FormatFloat(ub, 'g', -1, 64)
+	return m.parkHist.Quantile(q)
 }
 
 // handleMetrics writes the gateway's own counters, then the fleet's metrics
@@ -149,15 +94,7 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	g.met.parkMu.Lock()
 	hist := g.met.parkHist
 	g.met.parkMu.Unlock()
-	var cum int64
-	for i, ub := range latencyBuckets {
-		cum += hist.counts[i]
-		fmt.Fprintf(w, "cdpfgw_park_latency_seconds_bucket{le=%q} %d\n", formatUpperBound(ub), cum)
-	}
-	cum += hist.counts[len(latencyBuckets)]
-	fmt.Fprintf(w, "cdpfgw_park_latency_seconds_bucket{le=\"+Inf\"} %d\n", cum)
-	fmt.Fprintf(w, "cdpfgw_park_latency_seconds_sum %g\n", hist.sum)
-	fmt.Fprintf(w, "cdpfgw_park_latency_seconds_count %d\n", cum)
+	hist.WritePrometheus(w, "cdpfgw_park_latency_seconds")
 
 	sums, scraped := g.scrapeBackends(r)
 	fmt.Fprintf(w, "# Aggregated below: per-metric sums across %d reachable backend(s).\n", scraped)

@@ -113,15 +113,24 @@ func New(backends []Backend) (*Ring, error) {
 }
 
 // score is the rendezvous weight of (backend, key): FNV-1a over the backend
-// name, a separator that no name can contain, and the key. Deterministic
-// across processes and Go versions — any gateway with the same member names
-// routes identically.
+// name, a separator that no name can contain, and the key, passed through
+// splitmix64's finalizer. FNV-1a mixes its last bytes weakly, so raw sums for
+// keys sharing a prefix (load-1-000, load-1-001, ...) rank the backends the
+// same way and one backend owns nearly all of them; the finalizer spreads
+// every input bit over the whole word. Deterministic across processes and Go
+// versions — any gateway with the same member names routes identically.
 func score(name, key string) uint64 {
 	h := fnv.New64a()
 	h.Write([]byte(name))
 	h.Write([]byte{0})
 	h.Write([]byte(key))
-	return h.Sum64()
+	x := h.Sum64()
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	x ^= x >> 31
+	return x
 }
 
 // rankedLocked returns members ordered by descending score for key, ties

@@ -49,29 +49,44 @@ func TestOwnerDeterministic(t *testing.T) {
 }
 
 // TestDistributionUniform: over many keys, each of N backends owns roughly
-// 1/N of them. FNV-1a rendezvous isn't perfectly uniform, but any backend
+// 1/N of them. Rendezvous hashing isn't perfectly uniform, but any backend
 // deviating more than 30% from the fair share signals a hashing bug (e.g.
-// hashing only the name, or only the key).
+// hashing only the name, or only the key, or a hash whose low-entropy tail
+// ranks backends identically for keys that share a prefix — cdpfload's
+// sequential load-R-NNN session IDs once put every key on one backend).
 func TestDistributionUniform(t *testing.T) {
-	const nBackends, nKeys = 5, 10000
-	r := mustRing(t, nBackends)
-	counts := make(map[string]int)
-	for _, k := range keys(nKeys) {
-		o, ok := r.Owner(k)
-		if !ok {
-			t.Fatalf("no owner for %q", k)
-		}
-		counts[o.Name]++
+	cases := []struct {
+		pattern          string
+		nBackends, nKeys int
+	}{
+		{"s-%d", 5, 10000},
+		{"load-1-%03d", 2, 1000},
+		{"load-1-%03d", 3, 1000},
+		{"load-7-%03d", 3, 1000},
 	}
-	if len(counts) != nBackends {
-		t.Fatalf("only %d of %d backends own keys: %v", len(counts), nBackends, counts)
-	}
-	fair := float64(nKeys) / nBackends
-	for name, c := range counts {
-		if dev := float64(c)/fair - 1; dev > 0.30 || dev < -0.30 {
-			t.Errorf("backend %s owns %d keys, %.0f%% off the fair share %.0f (all: %v)",
-				name, c, dev*100, fair, counts)
-		}
+	for _, c := range cases {
+		t.Run(fmt.Sprintf("%s/%d", c.pattern, c.nBackends), func(t *testing.T) {
+			r := mustRing(t, c.nBackends)
+			counts := make(map[string]int)
+			for i := 0; i < c.nKeys; i++ {
+				k := fmt.Sprintf(c.pattern, i)
+				o, ok := r.Owner(k)
+				if !ok {
+					t.Fatalf("no owner for %q", k)
+				}
+				counts[o.Name]++
+			}
+			if len(counts) != c.nBackends {
+				t.Fatalf("only %d of %d backends own keys: %v", len(counts), c.nBackends, counts)
+			}
+			fair := float64(c.nKeys) / float64(c.nBackends)
+			for name, n := range counts {
+				if dev := float64(n)/fair - 1; dev > 0.30 || dev < -0.30 {
+					t.Errorf("backend %s owns %d keys, %.0f%% off the fair share %.0f (all: %v)",
+						name, n, dev*100, fair, counts)
+				}
+			}
+		})
 	}
 }
 

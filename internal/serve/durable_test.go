@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -459,5 +460,93 @@ func TestRecoveringGateAndHealthz(t *testing.T) {
 	}
 	if code, _ := get("/v1/sessions/nope"); code != 404 {
 		t.Fatalf("ready API status = %d, want 404", code)
+	}
+}
+
+// TestRecoverLegacyParallelismSpec: data directories written before the
+// tracker lost its Parallelism knob carry "Parallelism":1 inside the admitted
+// tracker config of every WAL create record and snapshot. Recovery decodes
+// stored specs leniently (unknown fields ignored), so such sessions must
+// still restore — from the WAL alone and from a snapshot plus WAL tail — and
+// finish byte-identical to their offline twins, with the stored bytes kept
+// verbatim.
+func TestRecoverLegacyParallelismSpec(t *testing.T) {
+	for _, tc := range []struct {
+		name         string
+		snapshotAt   int // 0: no snapshot
+		wantReplayed int64
+	}{
+		{"wal-only", 0, 5},
+		{"snapshot-plus-tail", 3, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			spec := testSpec("legacy", 41).normalize()
+			current, err := json.Marshal(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			const field = `"MaxHolders":0,`
+			if strings.Count(string(current), field) != 1 {
+				t.Fatalf("admitted spec lacks a single %s: %s", field, current)
+			}
+			legacy := []byte(strings.Replace(string(current), field, field+`"Parallelism":1,`, 1))
+			batches, err := Observations(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			// Write the directory the way the old daemon did: create record
+			// with the legacy spec bytes, five logged batches, optionally a
+			// snapshot taken mid-run by a session carrying those bytes.
+			st1, _ := openStore(t, dir)
+			if err := st1.LogCreate(0, spec.ID, legacy); err != nil {
+				t.Fatal(err)
+			}
+			s, err := newSession(spec.ID, 0, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.specJSON = legacy
+			for _, b := range batches[:5] {
+				if err := st1.LogBatch(0, batchRecord(spec.ID, b)); err != nil {
+					t.Fatal(err)
+				}
+				if s.stepped < tc.snapshotAt {
+					s.step(b)
+					if s.stepped == tc.snapshotAt {
+						if err := st1.SaveSnapshot(s.snapshot()); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+			}
+			if err := st1.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			st2, rec := openStore(t, dir)
+			defer st2.Close()
+			m := NewManager(ManagerConfig{Shards: 2, Store: st2, SnapshotEvery: 1000})
+			defer m.Drain()
+			if err := m.Restore(rec); err != nil {
+				t.Fatal(err)
+			}
+			if got := st2.Counters().ReplayedBatches.Load(); got != tc.wantReplayed {
+				t.Fatalf("ReplayedBatches = %d, want %d", got, tc.wantReplayed)
+			}
+			info, ok := m.Info(spec.ID)
+			if !ok || info.Stepped != 5 {
+				t.Fatalf("recovered info = %+v, want stepped=5", info)
+			}
+			m.mu.Lock()
+			kept := string(m.sessions[spec.ID].specJSON)
+			m.mu.Unlock()
+			if kept != string(legacy) {
+				t.Fatalf("recovered session re-encoded its stored spec:\n got %s\nwant %s", kept, legacy)
+			}
+			feedRange(t, m, spec.ID, batches, info.NextK, len(batches))
+			assertTwinIdentity(t, spec, collectAll(t, m, spec.ID))
+		})
 	}
 }

@@ -3,7 +3,6 @@ package serve
 import (
 	"fmt"
 	"io"
-	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -27,7 +26,7 @@ type Metrics struct {
 
 	mu       sync.Mutex
 	rejected map[string]int64 // reason -> count
-	lat      histogram
+	lat      Histogram
 
 	// queueDepth is read live at scrape time.
 	queueDepth func() int
@@ -40,9 +39,7 @@ type Metrics struct {
 // NewMetrics returns an empty registry. queueDepth, when non-nil, is sampled
 // at scrape time for the cdpfd_queue_depth gauge.
 func NewMetrics(queueDepth func() int) *Metrics {
-	m := &Metrics{rejected: make(map[string]int64), queueDepth: queueDepth}
-	m.lat = newHistogram()
-	return m
+	return &Metrics{rejected: make(map[string]int64), queueDepth: queueDepth}
 }
 
 // SetQueueDepthFunc installs the queue-depth sampler after construction —
@@ -106,7 +103,7 @@ func (m *Metrics) stepDone(d time.Duration) {
 	}
 	m.stepsTotal.Add(1)
 	m.mu.Lock()
-	m.lat.observe(d.Seconds())
+	m.lat.Observe(d.Seconds())
 	m.mu.Unlock()
 }
 
@@ -184,15 +181,9 @@ func (m *Metrics) WritePrometheus(w io.Writer) error {
 	}
 	p("# HELP cdpfd_step_latency_seconds Queue-to-stepped latency per filter iteration.\n")
 	p("# TYPE cdpfd_step_latency_seconds histogram\n")
-	cum := int64(0)
-	for i, ub := range latencyBuckets {
-		cum += lat.counts[i]
-		p("cdpfd_step_latency_seconds_bucket{le=%q} %d\n", formatUpperBound(ub), cum)
+	if err == nil {
+		err = lat.WritePrometheus(w, "cdpfd_step_latency_seconds")
 	}
-	cum += lat.counts[len(latencyBuckets)]
-	p("cdpfd_step_latency_seconds_bucket{le=\"+Inf\"} %d\n", cum)
-	p("cdpfd_step_latency_seconds_sum %g\n", lat.sum)
-	p("cdpfd_step_latency_seconds_count %d\n", cum)
 	if d := m.durability; d != nil {
 		p("# HELP cdpfd_wal_records_total Records appended to the write-ahead log.\n")
 		p("# TYPE cdpfd_wal_records_total counter\n")
@@ -229,69 +220,4 @@ func (m *Metrics) WritePrometheus(w io.Writer) error {
 		p("cdpfd_wal_orphan_batches_total %d\n", d.OrphanBatches.Load())
 	}
 	return err
-}
-
-// latencyBuckets are the histogram upper bounds in seconds: 100 µs to ~52 s
-// in powers of two, wide enough for queueing delay under overload.
-var latencyBuckets = func() []float64 {
-	b := make([]float64, 20)
-	ub := 100e-6
-	for i := range b {
-		b[i] = ub
-		ub *= 2
-	}
-	return b
-}()
-
-// histogram is a fixed-bucket latency histogram (value semantics so it can
-// be copied out under the registry lock).
-type histogram struct {
-	counts [21]int64 // len(latencyBuckets)+1, last bucket is +Inf
-	sum    float64
-}
-
-func newHistogram() histogram { return histogram{} }
-
-func (h *histogram) observe(v float64) {
-	h.sum += v
-	for i, ub := range latencyBuckets {
-		if v <= ub {
-			h.counts[i]++
-			return
-		}
-	}
-	h.counts[len(latencyBuckets)]++
-}
-
-// quantile returns the q-quantile (0..1) estimated from the bucket counts —
-// used by tests and the load generator's summary, not the exposition.
-func (h *histogram) quantile(q float64) float64 {
-	var total int64
-	for _, c := range h.counts {
-		total += c
-	}
-	if total == 0 {
-		return math.NaN()
-	}
-	rank := int64(math.Ceil(q * float64(total)))
-	if rank < 1 {
-		rank = 1
-	}
-	var cum int64
-	for i, c := range h.counts {
-		cum += c
-		if cum >= rank {
-			if i < len(latencyBuckets) {
-				return latencyBuckets[i]
-			}
-			return math.Inf(1)
-		}
-	}
-	return math.Inf(1)
-}
-
-// formatUpperBound renders a bucket bound the way Prometheus clients do
-// (shortest float form).
-func formatUpperBound(ub float64) string {
-	return fmt.Sprintf("%g", ub)
 }

@@ -305,7 +305,7 @@ func TestDrainClosesStreamsAndRejectsWork(t *testing.T) {
 	if _, err := m.Ingest("drainee", IngestRequest{Batches: batches[:3]}); err != nil {
 		t.Fatal(err)
 	}
-	_, ch, err := m.Subscribe("drainee")
+	snap, ch, err := m.Subscribe("drainee")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,8 +313,9 @@ func TestDrainClosesStreamsAndRejectsWork(t *testing.T) {
 	m.Drain()
 	m.Drain() // idempotent
 
-	// The three admitted batches were stepped; the stream is closed.
-	n := 0
+	// The three admitted batches were stepped (those stepped before the
+	// subscription arrive in its snapshot); the stream is closed.
+	n := len(snap)
 	for range ch {
 		n++
 	}

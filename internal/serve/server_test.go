@@ -196,6 +196,18 @@ func TestHTTPErrorsAndStatusCodes(t *testing.T) {
 	if resp3.StatusCode != http.StatusBadRequest {
 		t.Fatalf("unknown-field spec = %d, want 400", resp3.StatusCode)
 	}
+	// The tracker config no longer has a Parallelism knob; naming it in a new
+	// session is an unknown field like any other (stored specs that carry it
+	// still recover: TestRecoverLegacyParallelismSpec).
+	resp5, err := http.Post(ts.URL+"/v1/sessions", "application/json",
+		strings.NewReader(`{"tracker":{"Parallelism":1}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp5.Body.Close()
+	if resp5.StatusCode != http.StatusBadRequest {
+		t.Fatalf("tracker.Parallelism spec = %d, want 400", resp5.StatusCode)
+	}
 
 	// Invalid scenario parameters: validated via scenario.Build.
 	bad := testSpec("bad", 1)
